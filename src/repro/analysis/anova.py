@@ -9,15 +9,22 @@ at Pr(>F) < 2e-16.
 This is a main-effects ANOVA computed by sequential (Type I) sums of
 squares over a dummy-coded linear model; on the balanced factorial
 designs our sweeps produce, Type I and Type III coincide.
+
+Each p-value is the F distribution's upper tail, computed in pure Python
+by ``_f_sf`` as a regularized incomplete beta function (log-space
+prefactor plus a modified-Lentz continued fraction).  It is accurate to
+about 1e-11 relative down to tails of 1e-280 and gives 0.0 where the
+tail is below the smallest double; the package needs numpy alone at
+runtime.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -62,6 +69,57 @@ class AnovaResult:
         if self.total_ss <= 0:
             return 0.0
         return self.effect(name).sum_squares / self.total_ss
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for I_x(a, b), evaluated by modified Lentz.
+
+    Converges in O(sqrt(max(a, b))) terms for x < (a + 1) / (a + b + 2).
+    """
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 100_000):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 3e-16:
+            break
+    return h
+
+
+def _f_sf(f: float, d1: float, d2: float) -> float:
+    """Survival function Pr(F > f) of the F(d1, d2) distribution.
+
+    ``sf = I_x(d2/2, d1/2)`` with ``x = d2 / (d2 + d1 f)``, a regularized
+    incomplete beta; the continued fraction is evaluated on whichever
+    side of the beta's bulk converges fast.  ``f <= 0`` gives 1.0 and a
+    non-finite ``f`` gives 0.0.
+    """
+    if not math.isfinite(f):
+        return 0.0
+    if f <= 0:
+        return 1.0
+    a, b = d2 / 2.0, d1 / 2.0
+    r = d1 * f / d2
+    log_x = -math.log1p(r)  # x = 1 / (1 + r)
+    log_y = math.log(r) + log_x  # y = 1 - x = r / (1 + r), without cancellation
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * log_x + b * log_y
+    )
+    x, y = math.exp(log_x), math.exp(log_y)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front + math.log(_betacf(a, b, x) / a))
+    return 1.0 - math.exp(log_front + math.log(_betacf(b, a, y) / b))
 
 
 def _dummy_columns(levels: Sequence, values: np.ndarray) -> np.ndarray:
@@ -178,7 +236,7 @@ def anova_n_way(
             continue
         ms = ss / df
         f_stat = ms / mse if mse > 0 else np.inf
-        p = float(stats.f.sf(f_stat, df, residual_df)) if np.isfinite(f_stat) else 0.0
+        p = _f_sf(float(f_stat), df, residual_df)
         effects.append(
             FactorEffect(
                 name=name,

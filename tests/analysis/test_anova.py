@@ -1,9 +1,11 @@
 """Unit tests for repro.analysis.anova."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.analysis.anova import anova_n_way
+from repro.analysis.anova import _f_sf, anova_n_way
 from repro.errors import ConfigurationError
 
 
@@ -167,3 +169,90 @@ class TestInteractions:
         result = anova_n_way(factors, response, interactions=[("a", "b")])
         total = sum(result.eta_squared(e.name) for e in result.effects)
         assert 0 < total <= 1.0
+
+
+class TestFSurvival:
+    """The pure-Python F tail behind every ANOVA p-value."""
+
+    @pytest.mark.parametrize("d2", [1, 4, 17, 120, 1900])
+    @pytest.mark.parametrize("f", [0.01, 0.5, 1.0, 3.0, 40.0, 200.0, 1e4])
+    def test_two_numerator_df_closed_form(self, f, d2):
+        # For d1 = 2 the tail is elementary: (1 + 2F/d2)^(-d2/2); at
+        # d2 = 1900, F = 200 it is ~1e-79, far below 2e-16.
+        expected = (1.0 + 2.0 * f / d2) ** (-d2 / 2.0)
+        assert _f_sf(f, 2, d2) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d1,d2", [(1, 5), (3, 1900), (30, 50)])
+    def test_edges(self, d1, d2):
+        assert _f_sf(0.0, d1, d2) == 1.0
+        assert _f_sf(-0.0, d1, d2) == 1.0
+        assert _f_sf(-3.5, d1, d2) == 1.0
+        assert _f_sf(math.inf, d1, d2) == 0.0
+        assert _f_sf(math.nan, d1, d2) == 0.0
+
+    @pytest.mark.parametrize("d1,d2", [(1, 5), (2, 30), (3, 1900), (30, 5000)])
+    def test_monotone_decreasing_in_f(self, d1, d2):
+        values = [_f_sf(f, d1, d2) for f in np.geomspace(1e-3, 1e4, 200)]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_matches_scipy_over_grid(self):
+        stats = pytest.importorskip("scipy.stats")
+        smallest = 1.0
+        for d1 in (1, 2, 3, 5, 10, 30):
+            for d2 in (5, 20, 100, 500, 1897, 1900, 5000):
+                for f in (0.01, 0.1, 0.5, 1, 2, 5, 10, 30, 100, 362.6, 1e3, 1e4):
+                    expected = float(stats.f.sf(f, d1, d2))
+                    # Near the bottom of the double range the oracle
+                    # itself loses digits; compare above it.
+                    if expected < 1e-280:
+                        continue
+                    smallest = min(smallest, expected)
+                    assert _f_sf(f, d1, d2) == pytest.approx(
+                        expected, rel=1e-10
+                    ), (d1, d2, f)
+        # The grid covers section 4.3's printed 3.93e-186 regime.
+        assert smallest < 1e-186
+
+
+class TestPValuesMatchScipy:
+    """End to end: every ANOVA p-value equals scipy's F tail."""
+
+    @staticmethod
+    def assert_p_values_match(result):
+        stats = pytest.importorskip("scipy.stats")
+        for effect in result.effects:
+            if effect.df == 0:
+                continue
+            expected = float(
+                stats.f.sf(effect.f_statistic, effect.df, result.residual_df)
+            )
+            if expected == 0.0:
+                assert effect.p_value == 0.0, effect.name
+            else:
+                assert effect.p_value == pytest.approx(
+                    expected, rel=1e-10
+                ), effect.name
+
+    @pytest.mark.parametrize("seed,effect_a,effect_b", [
+        (0, 10.0, 0.0), (1, 0.0, 0.0), (3, 5.0, 3.0),
+    ])
+    def test_balanced(self, seed, effect_a, effect_b):
+        rng = np.random.default_rng(seed)
+        factors, response = balanced_design(rng, effect_a, effect_b)
+        self.assert_p_values_match(anova_n_way(factors, response))
+
+    @pytest.mark.parametrize("seed", [11, 14])
+    def test_interaction(self, seed):
+        rng = np.random.default_rng(seed)
+        factors, response = TestInteractions.crossed_design(rng)
+        result = anova_n_way(factors, response, interactions=[("a", "b")])
+        self.assert_p_values_match(result)
+
+    def test_underflow_is_exactly_zero(self):
+        # An effect 1000 sigma wide: both tails underflow to 0.0.
+        rng = np.random.default_rng(7)
+        factors, response = balanced_design(rng, effect_a=1000.0, n_rep=50)
+        result = anova_n_way(factors, response)
+        assert result.effect("a").p_value == 0.0
+        self.assert_p_values_match(result)
