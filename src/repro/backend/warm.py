@@ -99,13 +99,8 @@ def _worker_main(read_fd: int, write_fd: int, close_fds: Sequence[int]) -> None:
             pass
     # Imported here: the fork happens after repro is loaded, and the
     # coordinator-side module must not import the exec layer (cycle).
-    from repro.cpu.fastforward import reset_worker_state
     from repro.exec.plan import MeasurementJob
     from repro.kernel.snapshot import preload_images
-
-    # Forked-in fast-forward models and accounting belong to the
-    # coordinator; this child re-derives its own from scratch.
-    reset_worker_state()
 
     templates: dict[int, tuple[Any, Any]] = {}
     try:

@@ -134,11 +134,6 @@ class Pmu:
         ]
         self._tsc = 0.0
         self.on_overflow = on_overflow
-        #: Bumped on every configuration mutation (program/enable/
-        #: disable/restore).  Derived structures — the fast-forward
-        #: engine's compiled plans — key themselves to this epoch so a
-        #: reprogrammed counter invalidates them without any scanning.
-        self.config_epoch = 0
 
     # -- configuration ---------------------------------------------------
 
@@ -153,31 +148,26 @@ class Pmu:
     def program(self, index: int, config: CounterConfig) -> None:
         """Program counter ``index`` (models a PERFEVTSEL write)."""
         self._counter(index).config = config
-        self.config_epoch += 1
 
     def configure_fixed(self, index: int, priv: PrivFilter) -> None:
         """Set a fixed counter's privilege filter (NONE disables it)."""
         self._fixed(index).priv = priv
-        self.config_epoch += 1
 
     def enable(self, index: int) -> None:
         counter = self._counter(index)
         if counter.config is None:
             raise CounterError(f"counter {index} enabled before being programmed")
         counter.config = replace(counter.config, enabled=True)
-        self.config_epoch += 1
 
     def disable(self, index: int) -> None:
         counter = self._counter(index)
         if counter.config is not None:
             counter.config = replace(counter.config, enabled=False)
-            self.config_epoch += 1
 
     def disable_all(self) -> None:
         for counter in self.counters:
             if counter.config is not None:
                 counter.config = replace(counter.config, enabled=False)
-        self.config_epoch += 1
 
     # -- access ------------------------------------------------------------
 
@@ -278,7 +268,6 @@ class Pmu:
         for fixed, (priv, value) in zip(self.fixed, state["fixed"]):
             fixed.priv = priv
             fixed._value = value
-        self.config_epoch += 1
 
     # -- helpers ----------------------------------------------------------
 

@@ -15,22 +15,17 @@ from repro.exec import set_default_batch, set_default_jobs
 
 @pytest.fixture(autouse=True)
 def clean_defaults(monkeypatch):
-    from repro.cpu import fastforward
-
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_BATCH", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_DEADLINE", raising=False)
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    monkeypatch.delenv("REPRO_FF", raising=False)
-    monkeypatch.delenv("REPRO_FF_WARMUP", raising=False)
     yield
     set_default_jobs(None)
     set_default_batch(None)
     set_default_backend(None)
     set_default_deadline(None)
     reset_chaos()
-    fastforward.reset_fastforward()
 
 
 def expect_error(capsys, argv, message):
@@ -168,65 +163,6 @@ class TestChaosValidation:
         expect_error(
             capsys, ["serve", "--chaos", "bogus-point"],
             "error: unknown chaos fault point",
-        )
-
-
-class TestFastForwardValidation:
-    def test_unknown_mode_exit_2(self, capsys):
-        expect_error(
-            capsys, ["reproduce", "figure4", "--fast-forward", "bogus"],
-            "error: fast-forward mode must be one of auto, on, off; "
-            "got 'bogus'",
-        )
-
-    @pytest.mark.parametrize("bad", ["0", "-3"])
-    def test_non_positive_warmup_exit_2(self, capsys, bad):
-        expect_error(
-            capsys, ["reproduce", "figure4", "--ff-warmup", bad],
-            f"error: fast-forward warmup must be an integer >= 1, got {bad}",
-        )
-
-    def test_bad_env_mode_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FF", "warp")
-        # The env default is resolved lazily, but an explicit warmup flag
-        # forces the mode chain to be read — and validated — eagerly.
-        expect_error(
-            capsys, ["reproduce", "figure4", "--ff-warmup", "8"],
-            "error: fast-forward mode must be one of auto, on, off",
-        )
-
-    def test_bad_env_warmup_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FF_WARMUP", "soon")
-        expect_error(
-            capsys, ["reproduce", "figure4", "--fast-forward", "on"],
-            "error: fast-forward warmup must be an integer >= 1, got 'soon'",
-        )
-
-    def test_explicit_flags_shadow_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FF", "warp")
-        monkeypatch.setenv("REPRO_FF_WARMUP", "soon")
-        assert main(
-            ["reproduce", "figure4", "--fast-forward", "on",
-             "--ff-warmup", "2"]
-        ) == 0
-        capsys.readouterr()
-
-    def test_trace_validates_fast_forward_too(self, capsys):
-        expect_error(
-            capsys, ["trace", "figure4", "--fast-forward", "bogus"],
-            "error: fast-forward mode must be one of auto, on, off",
-        )
-
-    def test_serve_validates_fast_forward_too(self, capsys):
-        expect_error(
-            capsys, ["serve", "--fast-forward", "bogus"],
-            "error: fast-forward mode must be one of auto, on, off",
-        )
-
-    def test_serve_validates_warmup_too(self, capsys):
-        expect_error(
-            capsys, ["serve", "--ff-warmup", "0"],
-            "error: fast-forward warmup must be an integer >= 1, got 0",
         )
 
 
