@@ -1,26 +1,19 @@
-"""Benches of the execution backends: inline vs pool vs warm.
+"""Benches of the execution backends: inline vs warm.
 
-The warm backend exists to beat the per-run process pool — persistent
-workers, template frames instead of pickled plans, pre-populated
-snapshot stores.  These benches time the same mid-size sweep on every
-backend and assert the contrast directly; byte-identity of the tables
-is asserted alongside, so a backend can never buy speed with drift.
+The warm backend's persistent workers, template frames and
+pre-populated snapshot stores are what make ``--jobs N`` pay.  These
+benches time the same mid-size sweep on both backends and check the
+fleet's accounting: it persisted across rounds and its template
+preload absorbed nearly every worker-side boot.
 """
-
-import os
-import time
 
 import pytest
 
 from repro.backend import make_backend, warm_available
 from repro.core.config import Mode
 from repro.core.sweep import SweepSpec
-from repro.exec import BackendExecutor
+from repro.exec import Executor
 
-needs_cores = pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="backend contrast needs more than one core",
-)
 needs_fork = pytest.mark.skipif(
     not warm_available(), reason="warm backend needs the fork start method"
 )
@@ -37,31 +30,9 @@ def mid_size_plan(base_seed: int = 0):
     ).plan()
 
 
-def best_of(runs: int, fn):
-    """Best-of-N wall clock: the scheduler's noise must not decide."""
-    best = float("inf")
-    result = None
-    for _ in range(runs):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def test_inline_backend_sweep(benchmark):
     plan = mid_size_plan()
-    executor = BackendExecutor(make_backend("inline"), cache=None)
-    table = benchmark.pedantic(
-        executor.run, args=(plan,), rounds=3, iterations=1
-    )
-    assert len(table) == len(plan)
-
-
-def test_pool_backend_sweep(benchmark):
-    plan = mid_size_plan()
-    executor = BackendExecutor(
-        make_backend("pool", workers=4), cache=None
-    )
+    executor = Executor(make_backend("inline"), cache=None)
     table = benchmark.pedantic(
         executor.run, args=(plan,), rounds=3, iterations=1
     )
@@ -72,7 +43,7 @@ def test_pool_backend_sweep(benchmark):
 def test_warm_backend_sweep(benchmark):
     plan = mid_size_plan()
     backend = make_backend("warm", workers=4)
-    executor = BackendExecutor(backend, cache=None)
+    executor = Executor(backend, cache=None)
     try:
         table = benchmark.pedantic(
             executor.run, args=(plan,), rounds=3, iterations=1
@@ -85,33 +56,3 @@ def test_warm_backend_sweep(benchmark):
     assert backend.stats.workers_spawned == 4
     assert backend.stats.worker_restarts == 0
     assert backend.stats.snapshot_hits >= backend.stats.jobs - 4 * 6
-
-
-@needs_cores
-@needs_fork
-def test_warm_beats_pool():
-    """The tentpole claim, timed directly: warm ≤ pool on the same plan.
-
-    Both backends get 4 workers and best-of-3 timing; the warm fleet is
-    spawned *inside* the timed region on its first round, so the win
-    must come from persistence + frames + preloading, not from hiding
-    startup cost.
-    """
-    plan = mid_size_plan(base_seed=1)
-
-    pool_executor = BackendExecutor(
-        make_backend("pool", workers=4), cache=None
-    )
-    pool_s, pool_table = best_of(3, lambda: pool_executor.run(plan))
-
-    warm_backend = make_backend("warm", workers=4)
-    warm_executor = BackendExecutor(warm_backend, cache=None)
-    try:
-        warm_s, warm_table = best_of(3, lambda: warm_executor.run(plan))
-    finally:
-        warm_backend.shutdown(grace=5.0)
-
-    assert warm_table.to_csv() == pool_table.to_csv()
-    assert warm_s <= pool_s, (
-        f"warm backend ({warm_s:.3f}s) slower than pool ({pool_s:.3f}s)"
-    )

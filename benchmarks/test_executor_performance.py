@@ -1,7 +1,8 @@
 """Benches of the execution engine (plan → executor → cache).
 
 Timings of a mid-size factorial sweep under each execution strategy:
-serial, process-pool parallel, and cache-warm replay.  They guard the
+serial (inline backend), parallel (warm backend), and cache-warm
+replay.  They guard the
 two claims the engine makes — parallelism helps on multi-core hosts
 (``reproduce figure1 --jobs 4`` vs ``--jobs 1``), and a warm cache makes
 re-runs nearly free — without ever changing results, which
@@ -13,9 +14,14 @@ import time
 
 import pytest
 
+from repro.backend import make_backend, warm_available
 from repro.core.config import Mode
 from repro.core.sweep import SweepSpec
-from repro.exec import ParallelExecutor, ResultCache, SerialExecutor
+from repro.exec import Executor, ResultCache
+
+needs_fork = pytest.mark.skipif(
+    not warm_available(), reason="warm backend needs the fork start method"
+)
 
 
 def mid_size_plan(base_seed: int = 0):
@@ -29,17 +35,30 @@ def mid_size_plan(base_seed: int = 0):
     ).plan()
 
 
+def serial_executor(cache=None):
+    return Executor(make_backend("inline"), cache=cache)
+
+
+@pytest.fixture
+def warm_backend():
+    """A fresh four-worker warm fleet, shut down afterwards."""
+    backend = make_backend("warm", workers=4)
+    yield backend
+    backend.shutdown(grace=5.0)
+
+
 def test_serial_sweep(benchmark):
     plan = mid_size_plan()
     table = benchmark.pedantic(
-        SerialExecutor(cache=None).run, args=(plan,), rounds=3, iterations=1
+        serial_executor().run, args=(plan,), rounds=3, iterations=1
     )
     assert len(table) == len(plan)
 
 
-def test_parallel_sweep(benchmark):
+@needs_fork
+def test_parallel_sweep(benchmark, warm_backend):
     plan = mid_size_plan()
-    executor = ParallelExecutor(max_workers=4, cache=None)
+    executor = Executor(warm_backend, cache=None)
     table = benchmark.pedantic(
         executor.run, args=(plan,), rounds=3, iterations=1
     )
@@ -50,14 +69,19 @@ def test_parallel_sweep(benchmark):
     (os.cpu_count() or 1) < 2,
     reason="parallel speedup needs more than one core",
 )
-def test_parallel_is_measurably_faster_than_serial():
-    """The --jobs 4 vs --jobs 1 contrast from the CLI, timed directly."""
+@needs_fork
+def test_parallel_is_measurably_faster_than_serial(warm_backend):
+    """The --jobs 4 vs --jobs 1 contrast from the CLI, timed directly.
+
+    The warm fleet is spawned inside the timed region, as a cold
+    ``--jobs 4`` run pays for it.
+    """
     plan = mid_size_plan(base_seed=1)
     start = time.perf_counter()
-    serial = SerialExecutor(cache=None).run(plan)
+    serial = serial_executor().run(plan)
     serial_s = time.perf_counter() - start
 
-    executor = ParallelExecutor(max_workers=4, cache=None)
+    executor = Executor(warm_backend, cache=None)
     start = time.perf_counter()
     parallel = executor.run(plan)
     parallel_s = time.perf_counter() - start
@@ -66,15 +90,16 @@ def test_parallel_is_measurably_faster_than_serial():
     assert parallel_s < serial_s
 
 
-def test_batched_parallel_sweep(benchmark):
-    """Chunked dispatch: N jobs per pool task instead of one.
+@needs_fork
+def test_batched_parallel_sweep(benchmark, warm_backend):
+    """Capped dispatch: at most N jobs per warm-worker batch.
 
     The counter assertions prove the batching actually engaged —
     dispatch units shrink from one-per-job to one-per-batch, and the
     workers report the boots their snapshot stores absorbed.
     """
     plan = mid_size_plan(base_seed=3)
-    executor = ParallelExecutor(max_workers=4, cache=None, batch_size=32)
+    executor = Executor(warm_backend, cache=None, batch_size=32)
     table = benchmark.pedantic(
         executor.run, args=(plan,), rounds=3, iterations=1
     )
@@ -95,7 +120,7 @@ def test_cold_cache_sweep(benchmark):
     plan = mid_size_plan(base_seed=2)
 
     def run_cold():
-        return SerialExecutor(cache=ResultCache()).run(plan)
+        return serial_executor(ResultCache()).run(plan)
 
     table = benchmark.pedantic(run_cold, rounds=3, iterations=1)
     assert len(table) == len(plan)
@@ -105,9 +130,9 @@ def test_warm_cache_sweep(benchmark):
     """Every result already cached: replay must be nearly free."""
     plan = mid_size_plan(base_seed=2)
     cache = ResultCache()
-    SerialExecutor(cache=cache).run(plan)  # populate
+    serial_executor(cache).run(plan)  # populate
 
-    executor = SerialExecutor(cache=cache)
+    executor = serial_executor(cache)
     table = benchmark.pedantic(
         executor.run, args=(plan,), rounds=3, iterations=1
     )

@@ -1,10 +1,9 @@
 """The execution-backend contract: submit batches, collect results.
 
 An :class:`ExecutionBackend` is the seam between *what* to run (the
-executor facades in :mod:`repro.exec.executor` hand it fully seeded
-jobs) and *where* it runs: in-process (``inline``), on a per-run
-process pool (``pool``), or on the persistent warm-worker fleet
-(``warm``).  The interface is four operations — :meth:`~
+:class:`~repro.exec.executor.Executor` hands it fully seeded jobs) and
+*where* it runs: in-process (``inline``) or on the persistent
+warm-worker fleet (``warm``).  The interface is four operations — :meth:`~
 ExecutionBackend.submit` a batch, :meth:`~ExecutionBackend.collect` a
 finished one, read :attr:`~ExecutionBackend.stats`, :meth:`~
 ExecutionBackend.shutdown` — plus the shared :meth:`~
@@ -97,7 +96,7 @@ class CompletedBatch:
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
-    """What :meth:`ExecutionBackend.execute` hands the executor facade."""
+    """What :meth:`ExecutionBackend.execute` hands the executor."""
 
     results: list[Any]
     batches: int
@@ -203,7 +202,7 @@ class ExecutionBackend(abc.ABC):
     """Where batches of jobs execute: the submit/collect/stats/shutdown
     contract plus the shared adaptive dispatch driver."""
 
-    #: Registry name ("inline", "pool", "warm").
+    #: Registry name ("inline", "warm").
     name = "?"
 
     def __init__(self, batch_cap: int | None = None) -> None:
@@ -282,7 +281,7 @@ class ExecutionBackend(abc.ABC):
         """Hook: see the whole job list before the first dispatch.
 
         The warm backend uses this to register config templates and
-        pre-populate every worker's snapshot store; the others need
+        pre-populate every worker's snapshot store; inline needs
         nothing.
         """
 

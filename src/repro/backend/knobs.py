@@ -6,22 +6,17 @@ the same precedence chain everywhere: explicit argument, process
 default set by the CLI, environment variable, then a built-in fallback.
 
 They live here — below :mod:`repro.exec` and :mod:`repro.backend.base`
-— because both layers consult them; :mod:`repro.exec.executor`
-re-exports every name for its long-standing import paths.
+— because both layers consult them; import them from
+:mod:`repro.backend`.
 
-Since the backend refactor, the resolved batch size is a **cap** on the
-adaptive batch sizer, not a fixed size: backends start from it (or the
-four-batches-per-worker heuristic when nothing is set) and shrink
-batches when measured per-job cost says a full batch would run past the
-sizer's latency target.  ``resolve_batch_size`` keeps its historical
-name and chain; :func:`resolve_batch_cap` is the same chain without the
-automatic fallback, for callers that need to know whether a cap was
-configured at all.
+The resolved batch size is a **cap** on the adaptive batch sizer
+(:class:`repro.backend.base.AdaptiveBatchSizer`), not a fixed size:
+:func:`resolve_batch_cap` returns None when nothing is configured, and
+the sizer then picks its own size from measured per-job cost.
 """
 
 from __future__ import annotations
 
-import math
 import os
 
 from repro.errors import ConfigurationError
@@ -78,9 +73,9 @@ def set_default_batch(batch: int | None) -> None:
 def resolve_batch_cap(explicit: int | None = None) -> int | None:
     """The configured batch cap, or None when nothing was set.
 
-    Chain: explicit > set_default_batch > $REPRO_BATCH.  Unlike
-    :func:`resolve_batch_size` there is no automatic fallback — the
-    adaptive sizer supplies its own size when no cap is configured.
+    Chain: explicit > set_default_batch > $REPRO_BATCH.  There is no
+    automatic fallback — the adaptive sizer supplies its own size when
+    no cap is configured.
     """
     for candidate in (explicit, _default_batch):
         if candidate is not None:
@@ -167,21 +162,3 @@ def resolve_slow_threshold(explicit: float | None = None) -> float | None:
             return _positive_seconds(candidate, "slow-job threshold")
     return _env_seconds("REPRO_SLOW_JOB")
 
-
-def resolve_batch_size(
-    explicit: int | None, pending: int, workers: int
-) -> int:
-    """Jobs per dispatch unit: the configured cap, or an automatic size.
-
-    The automatic size aims at about four batches per worker — small
-    enough to keep a pool balanced when job durations vary, large
-    enough to amortise pickling and IPC — and is capped at 64 so one
-    straggler batch can never serialise a big plan.  A configured value
-    (explicit > set_default_batch > $REPRO_BATCH) is the adaptive
-    sizer's *cap*; backends may dispatch smaller batches than this when
-    measured per-job cost calls for it, never larger.
-    """
-    cap = resolve_batch_cap(explicit)
-    if cap is not None:
-        return cap
-    return max(1, min(64, math.ceil(pending / (workers * 4))))

@@ -1,11 +1,11 @@
 """Backend registry: names, resolution chain, and shared instances.
 
-``--backend {inline,pool,warm}`` / ``REPRO_BACKEND`` resolve here, by
-the same precedence chain every other execution knob uses: explicit
+``--backend {inline,warm}`` / ``REPRO_BACKEND`` resolve here, by the
+same precedence chain every other execution knob uses: explicit
 argument > process default set by the CLI > environment variable >
 built-in fallback.  The fallback is worker-count aware: a single job
-slot runs inline, more-than-one defaults to the warm backend (or the
-pool backend on platforms without fork).
+slot runs inline, more-than-one defaults to the warm backend (or
+inline, serially, on platforms without fork).
 
 :func:`get_backend` hands out *shared* instances keyed by
 ``(name, workers)`` — this is what makes the warm backend warm: every
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from repro.backend.base import ExecutionBackend
 
 #: Every registered backend, in documentation order.
-BACKEND_NAMES = ("inline", "pool", "warm")
+BACKEND_NAMES = ("inline", "warm")
 
 _default_backend: "str | None" = None
 
@@ -57,8 +57,9 @@ def resolve_backend_name(
     """Backend name: explicit > default > $REPRO_BACKEND > by-jobs.
 
     With nothing configured, one job slot means ``inline`` and more
-    means ``warm`` (``pool`` where fork is unavailable) — so plain
-    ``--jobs 4`` gets the persistent fleet without further flags.
+    means ``warm`` (``inline`` where fork is unavailable: the same
+    bytes, serially) — so plain ``--jobs 4`` gets the persistent fleet
+    without further flags.
     """
     for candidate in (explicit, _default_backend):
         if candidate is not None:
@@ -68,8 +69,8 @@ def resolve_backend_name(
         return _require_known(env)
     from repro.backend.warm import warm_available
 
-    if resolve_jobs(jobs) > 1:
-        return "warm" if warm_available() else "pool"
+    if resolve_jobs(jobs) > 1 and warm_available():
+        return "warm"
     return "inline"
 
 
@@ -93,10 +94,6 @@ def make_backend(
         from repro.backend.inline import InlineBackend
 
         return InlineBackend(batch_cap=batch_cap)
-    if name == "pool":
-        from repro.backend.pool import PoolBackend
-
-        return PoolBackend(max_workers=workers, batch_cap=batch_cap)
     from repro.backend.warm import WarmBackend
 
     return WarmBackend(max_workers=workers, batch_cap=batch_cap)
@@ -122,6 +119,12 @@ def get_backend(
             backend = make_backend(resolved, workers=workers)
             _shared[key] = backend
             if not _atexit_registered:
+                # multiprocessing SIGTERMs daemonic children from its
+                # own atexit hook.  Importing it first registers that
+                # hook first, so (LIFO) this one runs before it and the
+                # fleet stops gracefully: workers return from their loop.
+                import multiprocessing.util  # noqa: F401
+
                 atexit.register(shutdown_backends)
                 _atexit_registered = True
     return backend

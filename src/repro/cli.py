@@ -20,8 +20,8 @@ Usage::
 
 ``reproduce`` accepts ``--jobs N`` to spread measurements over N worker
 processes (results are bit-identical to a serial run), ``--backend``
-to pick where jobs execute (``inline``, ``pool``, or the persistent
-``warm`` worker fleet — the default under ``--jobs > 1``; see
+to pick where jobs execute (``inline``, or the persistent ``warm``
+worker fleet — the default under ``--jobs > 1``; see
 ``docs/backends.md``), ``--batch-size`` to cap how many jobs each
 dispatched batch carries, ``--no-cache`` to bypass the result cache,
 and ``--cache-dir`` to persist results on disk.
@@ -64,8 +64,12 @@ from typing import Sequence
 
 from repro.backend import (
     resolve_backend_name,
+    resolve_batch_cap,
+    resolve_jobs,
     set_default_backend,
+    set_default_batch,
     set_default_deadline,
+    set_default_jobs,
     set_default_slow_threshold,
 )
 from repro.chaos import configure_chaos, get_injector
@@ -73,13 +77,7 @@ from repro.core.benchmarks import LoopBenchmark, NullBenchmark
 from repro.core.config import INFRASTRUCTURES, MeasurementConfig, Mode, Pattern
 from repro.core.measurement import run_measurement
 from repro.errors import ConfigurationError
-from repro.exec import (
-    configure_default_cache,
-    resolve_batch_size,
-    resolve_jobs,
-    set_default_batch,
-    set_default_jobs,
-)
+from repro.exec import configure_default_cache
 from repro.exec.cache import default_cache
 from repro.experiments import (
     ALL_EXPERIMENTS,
@@ -138,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument(
         "--backend", default=None, metavar="NAME",
         help=(
-            "execution backend: inline, pool, or warm (default: "
+            "execution backend: inline or warm (default: "
             "REPRO_BACKEND, else warm when --jobs > 1; results are "
             "identical for any choice)"
         ),
@@ -199,11 +197,11 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (spans cross the pool boundary)",
+        help="worker processes (spans cross the process boundary)",
     )
     trace.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend: inline, pool, or warm",
+        help="execution backend: inline or warm",
     )
     trace.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
@@ -285,8 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend for measurement plans: inline, pool, "
-             "or warm (default: REPRO_BACKEND, else by --jobs/REPRO_JOBS)",
+        help="execution backend for measurement plans: inline or warm "
+             "(default: REPRO_BACKEND, else by --jobs/REPRO_JOBS)",
     )
     serve.add_argument(
         "--queue-depth", type=int, default=256, metavar="N",
@@ -397,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet_serve.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="execution backend inside each shard: inline, pool, or warm",
+        help="execution backend inside each shard: inline or warm",
     )
     fleet_serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -1127,7 +1125,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             set_default_jobs(args.jobs)
             resolve_jobs()  # surface a bad REPRO_JOBS before running
             set_default_batch(args.batch_size)
-            resolve_batch_size(None, 1, 1)  # ...and a bad REPRO_BATCH
+            resolve_batch_cap()  # ...and a bad REPRO_BATCH
             set_default_backend(args.backend)
             resolve_backend_name()  # ...and a bad REPRO_BACKEND
             set_default_deadline(args.deadline)

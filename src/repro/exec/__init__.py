@@ -7,11 +7,11 @@ carry individually:
   to measure: :class:`BenchmarkSpec`, :class:`MeasurementJob`,
   :class:`MeasurementPlan`, and the builders :func:`sweep_plan` /
   :class:`LoopSweepSpec`;
-* **executor** (:mod:`repro.exec.executor`) — :class:`SerialExecutor`
-  and the process-pool :class:`ParallelExecutor` behind a common
-  :class:`Executor` interface, selected by :func:`get_executor`
-  (``--jobs`` / ``REPRO_JOBS``), with identical results guaranteed by
-  per-job seeding;
+* **executor** (:mod:`repro.exec.executor`) — one :class:`Executor`
+  that serves cached results and hands the rest to an execution
+  backend (``inline`` or the ``warm`` fleet, see :mod:`repro.backend`),
+  built by :func:`get_executor` from ``--jobs`` / ``--backend``, with
+  identical results guaranteed by per-job seeding;
 * **cache** (:mod:`repro.exec.cache`) — a content-addressed
   :class:`ResultCache` (in-memory LRU + optional ``.repro-cache/``
   disk store) keyed on (config, benchmark identity, seed, code
@@ -40,20 +40,7 @@ from repro.exec.journal import (
     journal_path,
     set_active_journal,
 )
-from repro.exec.executor import (
-    BackendExecutor,
-    Executor,
-    ExecutorStats,
-    Job,
-    ParallelExecutor,
-    SerialExecutor,
-    get_executor,
-    resolve_batch_cap,
-    resolve_batch_size,
-    resolve_jobs,
-    set_default_batch,
-    set_default_jobs,
-)
+from repro.exec.executor import Executor, ExecutorStats, Job, get_executor
 from repro.exec.plan import (
     LOOP_SIZES,
     BenchmarkSpec,
@@ -64,7 +51,6 @@ from repro.exec.plan import (
 )
 
 __all__ = [
-    "BackendExecutor",
     "BenchmarkSpec",
     "CacheStats",
     "Executor",
@@ -74,9 +60,7 @@ __all__ = [
     "LoopSweepSpec",
     "MeasurementJob",
     "MeasurementPlan",
-    "ParallelExecutor",
     "ResultCache",
-    "SerialExecutor",
     "SweepJournal",
     "active_journal",
     "code_version",
@@ -84,12 +68,7 @@ __all__ = [
     "default_cache",
     "get_executor",
     "journal_path",
-    "resolve_batch_cap",
-    "resolve_batch_size",
-    "resolve_jobs",
     "set_active_journal",
-    "set_default_batch",
-    "set_default_jobs",
     "stable_token",
     "sweep_plan",
 ]

@@ -7,7 +7,7 @@ path through all of them observable, stdlib-only:
 
 * **spans** (:mod:`repro.obs.spans`) — :class:`Span` /
   :class:`TraceContext` with trace/span ids minted at submission and
-  propagated through every layer (including across the process-pool
+  propagated through every layer (including across the worker-process
   boundary via picklable carriers), gathered by a
   :class:`TraceCollector` on a shared :class:`Timebase`;
 * **export** (:mod:`repro.obs.export`) — Chrome ``trace_event`` JSON
@@ -17,8 +17,8 @@ path through all of them observable, stdlib-only:
   structured logs behind ``REPRO_LOG`` / ``repro --log-json``, always
   off stdout so machine-readable output stays parseable;
 * **metrics** (:mod:`repro.obs.metrics`) — the unified
-  :class:`MetricsRegistry` (promoted from ``repro.service.metrics``):
-  queue/scheduler/executor/cache/span instruments in one inventory,
+  :class:`MetricsRegistry`: queue/scheduler/executor/cache/span
+  instruments in one inventory,
   rendered identically by the service ``metrics`` request and the
   ``repro metrics`` CLI dump;
 * **report** (:mod:`repro.obs.report`) — the per-layer

@@ -12,9 +12,7 @@ This module is the one registry definition for the whole stack: the
 service front-end, the scheduler, the executors and the result cache
 all register into an instrument set built by
 :func:`build_unified_registry`, so the service's ``metrics`` request
-and the ``repro metrics`` CLI dump render the same inventory.  (It
-started life as ``repro.service.metrics``; that import path remains as
-a compatibility shim.)
+and the ``repro metrics`` CLI dump render the same inventory.
 
 ``MetricsRegistry.render()`` produces the Prometheus text exposition
 format (``# HELP`` / ``# TYPE`` then samples).  Instruments are plain
@@ -538,13 +536,13 @@ def build_unified_registry(
     )
     registry.gauge(
         "repro_executor_batches",
-        "Dispatch units (pool tasks or inline runs) executors issued.",
+        "Dispatch units (backend batches) executors issued.",
         fn=_executor_stat("batches"),
     )
     registry.gauge(
         "repro_executor_snapshot_hits",
         "Machine boots answered by a snapshot store during execution, "
-        "including hits inside pool workers.",
+        "including hits inside warm workers.",
         fn=_executor_stat("snapshot_hits"),
     )
 
@@ -666,8 +664,7 @@ def build_unified_registry(
     return registry
 
 
-#: Backwards-compatible name: the service's registry *is* the unified
-#: registry (PR 2 callers imported this from ``repro.service.metrics``).
+#: The service's registry *is* the unified registry.
 build_service_registry = build_unified_registry
 
 _default_registry: MetricsRegistry | None = None

@@ -26,7 +26,7 @@ Five layers, bottom-up:
 * **client** (:mod:`repro.service.client`) — a blocking client, the
   substrate of the ``repro serve`` / ``repro submit`` /
   ``repro status`` CLI subcommands;
-* **metrics** (:mod:`repro.service.metrics`) — counters, gauges and
+* **metrics** (:mod:`repro.obs.metrics`) — counters, gauges and
   latency histograms (queue depth, jobs completed/failed, cache hit
   rate from :class:`~repro.exec.cache.CacheStats`) rendered in
   Prometheus text form via the ``metrics`` request.
@@ -53,7 +53,7 @@ from repro.service.client import (
     ServiceError,
     submit_with_retry,
 )
-from repro.service.metrics import (
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,

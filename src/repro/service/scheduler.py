@@ -37,8 +37,8 @@ from typing import Any, Callable, Mapping
 from repro import obs
 from repro.errors import ReproError
 from repro.exec.cache import stable_token
+from repro.obs import metrics as metrics_mod
 from repro.obs.logging import StructuredLogger, get_logger
-from repro.service import metrics as metrics_mod
 from repro.service.protocol import DEFAULT_PRIORITY
 from repro.chaos import should_fire as chaos_should_fire
 from repro.service.queue import JobQueue, QueueFull

@@ -25,8 +25,8 @@ from typing import Any
 from repro.obs import TraceCollector
 from repro.obs.export import write_chrome_trace
 from repro.obs.logging import StructuredLogger, get_logger
+from repro.obs.metrics import MetricsRegistry, build_unified_registry
 from repro.service import protocol
-from repro.service.metrics import MetricsRegistry, build_unified_registry
 from repro.service.protocol import (
     CancelRequest,
     HealthRequest,

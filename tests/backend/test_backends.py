@@ -1,8 +1,8 @@
 """The backend contract: where a job runs must never be observable.
 
 Every job carries its complete seed and boots its own machine, so the
-inline, pool, and warm backends must produce byte-identical tables for
-the same plan — the backend choice may only move wall-clock time and
+inline and warm backends must produce byte-identical tables for the
+same plan — the backend choice may only move wall-clock time and
 ``repro_backend_*`` accounting.
 """
 
@@ -12,11 +12,12 @@ from repro.backend import (
     AdaptiveBatchSizer,
     make_backend,
     set_default_backend,
+    set_default_jobs,
     warm_available,
 )
 from repro.core.config import Mode, Pattern
 from repro.core.sweep import SweepSpec
-from repro.exec import BackendExecutor, set_default_jobs
+from repro.exec import Executor
 
 needs_fork = pytest.mark.skipif(
     not warm_available(), reason="warm backend needs the fork start method"
@@ -50,7 +51,7 @@ def small_plan(base_seed: int = 0):
 def run_on(backend_name: str, plan, **backend_kwargs) -> str:
     backend = make_backend(backend_name, **backend_kwargs)
     try:
-        table = BackendExecutor(backend, cache=None).run(plan)
+        table = Executor(backend, cache=None).run(plan)
     finally:
         backend.shutdown(grace=2.0)
     return table.to_csv()
@@ -62,15 +63,11 @@ class TestEquivalence:
         plan = small_plan()
         assert run_on("warm", plan, workers=2) == run_on("inline", plan)
 
-    def test_pool_matches_inline_byte_for_byte(self):
-        plan = small_plan(base_seed=1)
-        assert run_on("pool", plan, workers=2) == run_on("inline", plan)
-
     @needs_fork
     def test_warm_reuses_its_fleet_across_plans(self):
         backend = make_backend("warm", workers=2)
         try:
-            executor = BackendExecutor(backend, cache=None)
+            executor = Executor(backend, cache=None)
             executor.run(small_plan(base_seed=2))
             pids_first = sorted(backend.worker_pids)
             executor.run(small_plan(base_seed=3))
@@ -84,7 +81,7 @@ class TestAccounting:
     def test_inline_counts_jobs_and_batches(self):
         plan = small_plan(base_seed=4)
         backend = make_backend("inline")
-        BackendExecutor(backend, cache=None).run(plan)
+        Executor(backend, cache=None).run(plan)
         assert backend.stats.jobs == len(plan)
         assert backend.stats.batches == 1  # inline runs one batch
 
@@ -92,13 +89,17 @@ class TestAccounting:
         # Splitting buys nothing in-process: one dispatch unit, always.
         plan = small_plan(base_seed=5)
         backend = make_backend("inline", batch_cap=5)
-        BackendExecutor(backend, cache=None).run(plan)
+        Executor(backend, cache=None).run(plan)
         assert backend.stats.batches == 1
 
+    @needs_fork
     def test_configured_cap_pins_the_batch_count(self):
         plan = small_plan(base_seed=5)
-        backend = make_backend("pool", workers=2, batch_cap=5)
-        BackendExecutor(backend, cache=None).run(plan)
+        backend = make_backend("warm", workers=2, batch_cap=5)
+        try:
+            Executor(backend, cache=None).run(plan)
+        finally:
+            backend.shutdown(grace=2.0)
         expected = -(-len(plan) // 5)  # ceil
         assert backend.stats.batches == expected
 
@@ -109,7 +110,7 @@ class TestAccounting:
         plan = small_plan(base_seed=6)
         backend = make_backend("warm", workers=2)
         try:
-            BackendExecutor(backend, cache=None).run(plan)
+            Executor(backend, cache=None).run(plan)
             assert backend.stats.snapshot_hits == len(plan)
             assert backend.stats.frames_sent >= backend.stats.batches
             assert backend.stats.frame_bytes_sent > 0

@@ -9,8 +9,11 @@ undisturbed run — every job re-executes from its own seed — and the
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,7 @@ from repro.backend import GLOBAL_STATS, make_backend, warm_available
 from repro.backend.warm import WarmBackend, WorkerFailure
 from repro.core.config import Mode, Pattern
 from repro.core.sweep import SweepSpec
-from repro.exec import BackendExecutor
+from repro.exec import Executor
 from repro.obs.metrics import build_unified_registry
 
 pytestmark = pytest.mark.skipif(
@@ -97,11 +100,11 @@ class TestWorkerDeath:
             pytest.fail("repro_backend_worker_restarts gauge not rendered")
 
     def test_executor_run_survives_worker_death(self):
-        # End to end through the executor facade: a timer thread kills
+        # End to end through the executor: a timer thread kills
         # a worker while run() is dispatching; whether the kill lands
         # mid-batch or between plans, the table must match inline.
         plan = small_plan(base_seed=2)
-        inline = BackendExecutor(make_backend("inline"), cache=None).run(plan)
+        inline = Executor(make_backend("inline"), cache=None).run(plan)
 
         backend = make_backend("warm", workers=2)
 
@@ -114,7 +117,7 @@ class TestWorkerDeath:
         killer = threading.Thread(target=kill_soon)
         try:
             killer.start()
-            table = BackendExecutor(backend, cache=None).run(plan)
+            table = Executor(backend, cache=None).run(plan)
         finally:
             killer.join()
             backend.shutdown(grace=2.0)
@@ -237,6 +240,41 @@ class TestGracefulShutdown:
             time.sleep(0.01)
         assert not any(proc.is_alive() for proc in procs)
 
+    def test_interpreter_exit_stops_the_shared_fleet_gracefully(
+        self, tmp_path
+    ):
+        # The atexit shutdown must beat multiprocessing's own exit hook,
+        # which would SIGTERM the daemonic workers mid-loop instead.
+        script = """
+import os, sys
+from pathlib import Path
+import repro.backend.warm as warm
+from repro.backend import get_backend
+from repro.core.config import Mode, Pattern
+from repro.core.sweep import SweepSpec
+from repro.exec import Executor
+
+worker_main = warm._worker_main
+
+def recording_worker_main(*args):
+    worker_main(*args)
+    (Path(sys.argv[1]) / str(os.getpid())).write_text("returned")
+
+warm._worker_main = recording_worker_main
+plan = SweepSpec(processors=("CD",), infras=("pm",),
+                 patterns=(Pattern.START_READ,), modes=(Mode.USER,),
+                 repeats=1, io_interrupts=False).plan()
+Executor(get_backend("warm", jobs=2), cache=None).run(plan)
+"""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env, check=True, timeout=60,
+        )
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_shutdown_is_idempotent_and_submit_after_is_an_error(self):
         backend = make_backend("warm", workers=2)
         backend.shutdown(grace=1.0)
@@ -249,5 +287,5 @@ class TestGracefulShutdown:
         from repro.errors import ConfigurationError
 
         monkeypatch.setattr(warm_module, "warm_available", lambda: False)
-        with pytest.raises(ConfigurationError, match="fork"):
+        with pytest.raises(ConfigurationError, match="fork.*--backend inline"):
             WarmBackend(max_workers=2)

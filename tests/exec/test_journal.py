@@ -184,9 +184,10 @@ class TestActiveJournal:
         # A journalled value short-circuits execution: feed the journal
         # a fake result for a job's token, run the executor, and the
         # fake comes back — proof the resume path serves from disk.
+        from repro.backend import make_backend
         from repro.core.config import Mode, Pattern
         from repro.core.sweep import SweepSpec
-        from repro.exec.executor import SerialExecutor, _token_of
+        from repro.exec.executor import Executor, _token_of
 
         plan = SweepSpec(
             processors=("CD",), infras=("pc",),
@@ -199,7 +200,7 @@ class TestActiveJournal:
         journal.append(_token_of(jobs[0]), "journalled-result")
         set_active_journal(journal)
         try:
-            results = SerialExecutor(cache=None).map(jobs)
+            results = Executor(make_backend("inline"), cache=None).map(jobs)
         finally:
             set_active_journal(None)
             journal.close()

@@ -20,13 +20,13 @@ import pytest
 
 from repro.backend import (
     set_default_backend,
+    set_default_batch,
     set_default_deadline,
     set_default_jobs,
     warm_available,
 )
 from repro.chaos import configure_chaos, get_injector, reset_chaos
 from repro.cli import main
-from repro.exec import set_default_batch
 
 GOLDEN = Path(__file__).parent / "golden"
 

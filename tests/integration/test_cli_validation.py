@@ -7,10 +7,14 @@ stack.
 
 import pytest
 
-from repro.backend import set_default_backend, set_default_deadline
+from repro.backend import (
+    set_default_backend,
+    set_default_batch,
+    set_default_deadline,
+    set_default_jobs,
+)
 from repro.chaos import reset_chaos
 from repro.cli import main
-from repro.exec import set_default_batch, set_default_jobs
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +87,18 @@ class TestBackendValidation:
     def test_unknown_backend_exit_2(self, capsys):
         expect_error(
             capsys, ["reproduce", "figure4", "--backend", "bogus"],
-            "error: unknown backend 'bogus'; known: inline, pool, warm",
+            "error: unknown backend 'bogus'; known: inline, warm",
+        )
+
+    def test_pool_backend_exit_2(self, capsys, monkeypatch):
+        expect_error(
+            capsys, ["reproduce", "figure4", "--backend", "pool"],
+            "error: unknown backend 'pool'; known: inline, warm",
+        )
+        monkeypatch.setenv("REPRO_BACKEND", "pool")
+        expect_error(
+            capsys, ["reproduce", "figure4"],
+            "error: unknown backend 'pool'; known: inline, warm",
         )
 
     def test_bad_env_backend_exit_2(self, capsys, monkeypatch):

@@ -19,15 +19,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import set_default_backend
+from repro.backend import (
+    set_default_backend,
+    set_default_batch,
+    set_default_jobs,
+)
 from repro.chaos import reset_chaos
 from repro.cli import main
-from repro.exec import set_default_batch, set_default_jobs
 
 GOLDEN = Path(__file__).parent / "golden"
 
 #: Every execution backend must reproduce the goldens byte-for-byte.
-BACKENDS = ["inline", "pool", "warm"]
+BACKENDS = ["inline", "warm"]
 
 
 @pytest.fixture(autouse=True)

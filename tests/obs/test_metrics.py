@@ -131,14 +131,3 @@ class TestUnifiedRegistry:
         gauge = registry.get("repro_spans_started")
         (_, value), = gauge.samples()
         assert value == float(SPAN_COUNTS["started"])
-
-    def test_service_shim_reexports_the_same_objects(self):
-        from repro.obs import metrics as obs_metrics
-        from repro.service import metrics as service_metrics
-
-        assert service_metrics.Histogram is obs_metrics.Histogram
-        assert service_metrics.MetricsRegistry is obs_metrics.MetricsRegistry
-        assert (
-            service_metrics.build_service_registry
-            is obs_metrics.build_unified_registry
-        )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service.metrics import (
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
