@@ -4,20 +4,9 @@ Performance numbers in CI are noisy; a raw "is B slower than A"
 comparison flags phantom regressions on every run.  This tool compares
 one stats metric (``mean`` by default) per benchmark *name* across two
 result files and only calls a change a regression when it exceeds a
-relative noise threshold.
-
-Two threshold regimes exist:
-
-* **global** (the default): one relative threshold for every
-  benchmark — 10% by default, above the run-to-run jitter observed for
-  the repo's bench-smoke workloads, low enough to catch a real
-  algorithmic slip;
-* **history-driven** (``--history DIR``): per-benchmark thresholds
-  derived from recorded dispersion — ``max(floor, k·stddev/|mean|)``
-  over the last M runs appended by ``repro bench record``
-  (:mod:`repro.perfdb`).  A rock-steady benchmark gets a tight gate; a
-  noisy one gets the slack its own variance demands.  Benchmarks the
-  history has never seen fall back to the global threshold.
+relative noise threshold: one ``--threshold`` for every benchmark,
+10% by default — above the run-to-run jitter observed for the repo's
+bench-smoke workloads, low enough to catch a real algorithmic slip.
 
 Direction matters: for time-valued metrics (``mean``, ``median``,
 ``min``, percentiles...) bigger is worse; for rate-valued metrics
@@ -26,8 +15,8 @@ only one file are reported but never fail the diff — renaming a
 benchmark must not masquerade as a regression, and a first run has no
 baseline at all.
 
-Exit codes follow the CLI convention: 0 clean (or advisory-only),
-1 at least one regression beyond its threshold, 2 usage errors
+Exit codes follow the CLI convention: 0 clean, 1 at least one
+regression beyond the threshold, 2 usage errors
 (unreadable, truncated, empty or non-pytest-benchmark files, unknown
 metric).
 """
@@ -37,12 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, TYPE_CHECKING
+from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (perfdb uses us)
-    from repro.perfdb.store import Threshold
 
 #: Metrics where a larger value is an improvement, not a regression.
 HIGHER_IS_BETTER = frozenset(("ops", "throughput_rps"))
@@ -63,32 +49,21 @@ class BenchDelta:
     change: float
     #: Positive when the change is a slowdown (direction-adjusted).
     regression: float
-    #: Per-benchmark threshold (``None`` = use the diff's global one).
-    threshold: "float | None" = None
-    #: Where the per-benchmark threshold came from (``history``/``floor``).
-    threshold_source: "str | None" = None
-
-    def effective_threshold(self, fallback: float) -> float:
-        return self.threshold if self.threshold is not None else fallback
 
     def render(self, threshold: float) -> str:
         if self.base == 0:
             shape = "baseline 0"
         else:
             shape = f"{self.change:+.1%}"
-        effective = self.effective_threshold(threshold)
         verdict = "ok"
-        if self.regression > effective:
+        if self.regression > threshold:
             verdict = "REGRESSED"
-        elif self.regression < -effective:
+        elif self.regression < -threshold:
             verdict = "improved"
-        line = (
+        return (
             f"{self.name:<32} {self.metric}: "
             f"{self.base:.6g} -> {self.new:.6g}  ({shape})  {verdict}"
         )
-        if self.threshold is not None:
-            line += f"  [thr {effective:.1%}, {self.threshold_source}]"
-        return line
 
 
 def load_payload(path: "str | Path") -> Mapping[str, Any]:
@@ -124,14 +99,12 @@ def load_payload(path: "str | Path") -> Mapping[str, Any]:
     return payload
 
 
-def benchmarks_from_payload(
-    payload: Mapping[str, Any], source: "str | Path"
-) -> dict[str, dict[str, Any]]:
-    """name -> stats mapping from a parsed result payload."""
-    benchmarks = payload.get("benchmarks")
+def load_benchmarks(path: "str | Path") -> dict[str, dict[str, Any]]:
+    """name -> stats mapping from a pytest-benchmark JSON file."""
+    benchmarks = load_payload(path).get("benchmarks")
     if not isinstance(benchmarks, list):
         raise ConfigurationError(
-            f"benchmark file {source} has no 'benchmarks' list"
+            f"benchmark file {path} has no 'benchmarks' list"
         )
     out: dict[str, dict[str, Any]] = {}
     for entry in benchmarks:
@@ -152,14 +125,9 @@ def benchmarks_from_payload(
             out[name] = merged
     if not out:
         raise ConfigurationError(
-            f"benchmark file {source} contains no benchmarks"
+            f"benchmark file {path} contains no benchmarks"
         )
     return out
-
-
-def load_benchmarks(path: "str | Path") -> dict[str, dict[str, Any]]:
-    """name -> stats mapping from a pytest-benchmark JSON file."""
-    return benchmarks_from_payload(load_payload(path), path)
 
 
 def _metric_value(stats: Mapping[str, Any], metric: str, name: str) -> float:
@@ -180,14 +148,8 @@ def diff_benchmarks(
     new: Mapping[str, Mapping[str, Any]],
     metric: str = DEFAULT_METRIC,
     threshold: float = DEFAULT_THRESHOLD,
-    thresholds: "Mapping[str, Threshold] | None" = None,
 ) -> "tuple[list[BenchDelta], list[str], list[str]]":
-    """Compare common benchmarks; returns (deltas, base_only, new_only).
-
-    ``thresholds`` (from :func:`repro.perfdb.history_thresholds`) maps
-    benchmark names to per-benchmark noise thresholds; names it lacks
-    use the global ``threshold``.
-    """
+    """Compare common benchmarks; returns (deltas, base_only, new_only)."""
     common = sorted(set(base) & set(new))
     base_only = sorted(set(base) - set(new))
     new_only = sorted(set(new) - set(base))
@@ -197,12 +159,9 @@ def diff_benchmarks(
         cur = _metric_value(new[name], metric, name)
         change = (cur - old) / old if old != 0 else (0.0 if cur == 0 else 1.0)
         regression = -change if metric in HIGHER_IS_BETTER else change
-        per_bench = thresholds.get(name) if thresholds else None
         deltas.append(BenchDelta(
             name=name, metric=metric, base=old, new=cur,
             change=change, regression=regression,
-            threshold=per_bench.threshold if per_bench else None,
-            threshold_source=per_bench.source if per_bench else None,
         ))
     # Worst offender first, so CI logs lead with the problem.
     deltas.sort(key=lambda d: d.regression, reverse=True)
@@ -212,10 +171,8 @@ def diff_benchmarks(
 def regressions(
     deltas: "list[BenchDelta]", threshold: float
 ) -> "list[BenchDelta]":
-    """The deltas beyond their (per-benchmark or global) threshold."""
-    return [
-        d for d in deltas if d.regression > d.effective_threshold(threshold)
-    ]
+    """The deltas beyond the noise threshold."""
+    return [d for d in deltas if d.regression > threshold]
 
 
 def render_diff(
@@ -237,11 +194,7 @@ def render_diff(
     if new_only:
         lines.append(f"only in candidate: {', '.join(new_only)}")
     regressed = regressions(deltas, threshold)
-    history_driven = any(d.threshold is not None for d in deltas)
-    band = (
-        "per-benchmark noise thresholds"
-        if history_driven else f"the {threshold:.0%} noise threshold"
-    )
+    band = f"the {threshold:.0%} noise threshold"
     if regressed:
         lines.append(f"{len(regressed)} regression(s) beyond {band}")
     else:
@@ -254,36 +207,13 @@ def diff_files(
     new_path: "str | Path",
     metric: str = DEFAULT_METRIC,
     threshold: float = DEFAULT_THRESHOLD,
-    history_dir: "str | Path | None" = None,
-    window: "int | None" = None,
-    k: "float | None" = None,
-    floor: "float | None" = None,
 ) -> "tuple[int, str]":
-    """(exit_code, report_text) for the CLI and CI.
-
-    With ``history_dir``, per-benchmark thresholds come from the
-    recorded dispersion over the last ``window`` runs (defaults from
-    :mod:`repro.perfdb`); without it, ``threshold`` applies globally.
-    """
-    thresholds = None
-    if history_dir is not None:
-        from repro.perfdb import store as perfdb
-
-        history = perfdb.load_history(
-            history_dir,
-            window=perfdb.DEFAULT_WINDOW if window is None else window,
-        )
-        thresholds = perfdb.history_thresholds(
-            history, metric,
-            k=perfdb.DEFAULT_K if k is None else k,
-            floor=perfdb.DEFAULT_FLOOR if floor is None else floor,
-        )
+    """(exit_code, report_text) for the CLI and CI."""
     deltas, base_only, new_only = diff_benchmarks(
         load_benchmarks(base_path),
         load_benchmarks(new_path),
         metric=metric,
         threshold=threshold,
-        thresholds=thresholds,
     )
     text = render_diff(deltas, base_only, new_only, threshold)
     code = 1 if regressions(deltas, threshold) else 0

@@ -3,11 +3,10 @@
 The paper's deliverable is *evidence you can read*: error-vs-duration
 curves, per-configuration variance, significance calls.  This module
 renders one or two benchmark result files (pytest-benchmark JSON from
-CI's bench-smoke, ``repro loadtest``, or any compatible writer) into a
-single HTML file with **zero external references** — inline CSS,
-inline SVG, system fonts, no JavaScript — so the artifact opens
-identically from a CI artifact store, an airgapped box, or a mail
-attachment, years later.
+CI's bench-smoke, or any compatible writer) into a single HTML file
+with **zero external references** — inline CSS, inline SVG, system
+fonts, no JavaScript — so the artifact opens identically from a CI
+artifact store, an airgapped box, or a mail attachment, years later.
 
 What it renders:
 
@@ -20,15 +19,10 @@ What it renders:
 * **a summary table** (mean/stddev/CoV/percentiles/throughput) — the
   numbers behind every mark, so nothing is color-alone;
 * **an A/B delta table** when given two runs, with the same
-  direction-aware verdicts as ``repro bench diff`` and, when a
-  perf-history is supplied, its per-benchmark variance thresholds;
+  direction-aware verdicts as ``repro bench diff``;
 * **per-layer self-time bars** from a ``repro trace --json`` payload
   (:func:`repro.obs.report.layer_breakdown_payload` — the same
-  numbers as the printed table, by construction);
-* **cache / snapshot / backend hit-rate panels** from the metrics
-  snapshots ``repro loadtest`` embeds into its result files;
-* **fleet shard breakdowns** whenever those snapshots carry
-  ``shard="..."``-labelled samples from the fleet aggregator.
+  numbers as the printed table, by construction).
 
 ``python -m repro.obs.htmlreport report.html [bench.json ...]`` is the
 CI-grade validator: parses the HTML, rejects any external reference,
@@ -58,11 +52,6 @@ from repro.errors import ConfigurationError
 #: Run colors: categorical slots 1 (blue) and 2 (orange), light/dark
 #: steps validated together (see docs/reports.md for provenance).
 RUN_LABELS = ("A", "B")
-
-_METRIC_SAMPLE = re.compile(
-    r"^(?P<name>[A-Za-z_:][A-Za-z0-9_:]*)\{(?P<labels>.*)\}$"
-)
-_SHARD_LABEL = re.compile(r'shard="((?:[^"\\]|\\.)*)"')
 
 
 # -- loading ---------------------------------------------------------------
@@ -106,30 +95,6 @@ class RunData:
                     out.setdefault(key, value)
         return out
 
-    def metrics_snapshots(self) -> "list[tuple[str, dict[str, float]]]":
-        """(entry name, samples) for entries carrying a snapshot."""
-        out: "list[tuple[str, dict[str, float]]]" = []
-        for entry in self.entries:
-            obs = entry.get("observability")
-            if isinstance(obs, Mapping):
-                metrics = obs.get("metrics")
-                if isinstance(metrics, Mapping) and metrics:
-                    out.append((
-                        entry["name"],
-                        {str(k): float(v) for k, v in metrics.items()
-                         if isinstance(v, (int, float))},
-                    ))
-        payload_obs = self.payload.get("observability")
-        if isinstance(payload_obs, Mapping):
-            metrics = payload_obs.get("metrics")
-            if isinstance(metrics, Mapping) and metrics:
-                out.append((
-                    "run",
-                    {str(k): float(v) for k, v in metrics.items()
-                     if isinstance(v, (int, float))},
-                ))
-        return out
-
 
 def load_run(path: "str | Path", label: str = "A") -> RunData:
     """Parse one result file; malformed shapes are config errors."""
@@ -153,7 +118,6 @@ def load_run(path: "str | Path", label: str = "A") -> RunData:
             "group": item.get("group"),
             "stats": dict(stats),
             "extra_info": dict(extra) if isinstance(extra, Mapping) else {},
-            "observability": item.get("observability"),
         })
     if not entries:
         raise ConfigurationError(
@@ -524,102 +488,6 @@ def _plots_section(
     )
 
 
-# -- cross-run trend sparklines --------------------------------------------
-
-_SPARK_W = 260
-_SPARK_H = 44
-_SPARK_PAD = 5
-
-
-def trend_series(
-    families: "dict[str, list[str]]",
-    history: Any,
-    metric: str,
-) -> "dict[str, list[tuple[str, list[float]]]]":
-    """family -> (benchmark, metric values oldest-first, >= 2 points).
-
-    Families whose benchmarks have fewer than two recorded values are
-    dropped — a single point has no trend to draw.
-    """
-    out: "dict[str, list[tuple[str, list[float]]]]" = {}
-    for family, names in families.items():
-        series = []
-        for name in names:
-            values = history.values(name, metric)
-            if len(values) >= 2:
-                series.append((name, values))
-        if series:
-            out[family] = series
-    return out
-
-
-def _spark_svg(family: str, series: "list[tuple[str, list[float]]]") -> str:
-    """One family's sparkline: a polyline per benchmark, shared scale."""
-    lo = min(min(v) for _, v in series)
-    hi = max(max(v) for _, v in series)
-    span = hi - lo
-    if span <= 0.0:
-        span = hi if hi > 0 else 1.0
-    plot_w = _SPARK_W - 2 * _SPARK_PAD
-    plot_h = _SPARK_H - 2 * _SPARK_PAD
-    parts = [
-        f'<svg viewBox="0 0 {_SPARK_W} {_SPARK_H}" role="img" '
-        f'aria-label="{_esc(family)}: recorded values across runs, '
-        f'oldest to newest" class="spark">'
-    ]
-    for i, (_name, values) in enumerate(series):
-        step = plot_w / max(len(values) - 1, 1)
-        points = " ".join(
-            f"{_SPARK_PAD + j * step:.1f},"
-            f"{_SPARK_PAD + plot_h * (1.0 - (v - lo) / span):.1f}"
-            for j, v in enumerate(values)
-        )
-        stroke = f"s{(i % 2) + 1}"
-        parts.append(f'<polyline class="trend {stroke}" points="{points}"/>')
-        last_x = _SPARK_PAD + (len(values) - 1) * step
-        last_y = _SPARK_PAD + plot_h * (1.0 - (values[-1] - lo) / span)
-        parts.append(
-            f'<circle class="dot {stroke}" cx="{last_x:.1f}" '
-            f'cy="{last_y:.1f}" r="2.5"/>'
-        )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _trend_section(
-    families: "dict[str, list[str]]",
-    history: Any,
-    metric: str,
-) -> str:
-    """Per-family cross-run sparklines from the recorded history."""
-    if history is None:
-        return ""
-    by_family = trend_series(families, history, metric)
-    if not by_family:
-        return ""
-    cells = []
-    for family, series in by_family.items():
-        runs = max(len(values) for _, values in series)
-        latest = series[0][1][-1]
-        lo = min(min(v) for _, v in series)
-        hi = max(max(v) for _, v in series)
-        cells.append(
-            '<div class="trend-cell">'
-            f"<h3>{_esc(family)}</h3>"
-            + _spark_svg(family, series)
-            + '<p class="trend-meta">'
-            f"{runs} run(s) · latest {_esc(_fmt_seconds(latest))} · "
-            f"range {_esc(_fmt_seconds(lo))}–{_esc(_fmt_seconds(hi))}"
-            "</p></div>"
-        )
-    return (
-        "<section><h2>Cross-run trends</h2>"
-        f'<p class="trend-meta">recorded {_esc(metric)} per benchmark '
-        "family, oldest to newest, from the benchmark history</p>"
-        f'<div class="trend-grid">{"".join(cells)}</div></section>'
-    )
-
-
 def _summary_section(runs: Sequence[RunData]) -> str:
     head = (
         "<tr><th>benchmark</th><th>run</th><th>mean</th><th>stddev</th>"
@@ -676,7 +544,6 @@ def _delta_section(
     runs: Sequence[RunData],
     metric: str,
     threshold: float,
-    thresholds: "Mapping[str, Any] | None",
 ) -> str:
     if len(runs) != 2:
         return ""
@@ -684,7 +551,6 @@ def _delta_section(
     try:
         deltas, base_only, new_only = diff_benchmarks(
             base, new, metric=metric, threshold=threshold,
-            thresholds=thresholds,
         )
     except ConfigurationError as exc:
         return (
@@ -693,17 +559,12 @@ def _delta_section(
         )
     rows = []
     for delta in deltas:
-        effective = delta.effective_threshold(threshold)
-        if delta.regression > effective:
+        if delta.regression > threshold:
             verdict = '<span class="verdict bad">▲ REGRESSED</span>'
-        elif delta.regression < -effective:
+        elif delta.regression < -threshold:
             verdict = '<span class="verdict good">▼ improved</span>'
         else:
             verdict = '<span class="verdict">≈ ok</span>'
-        source = (
-            f" ({delta.threshold_source})" if delta.threshold is not None
-            else ""
-        )
         rows.append(
             "<tr>"
             f"<td>{_esc(delta.name)}</td>"
@@ -711,7 +572,7 @@ def _delta_section(
             f"<td>{_esc(_fmt_seconds(delta.base))}</td>"
             f"<td>{_esc(_fmt_seconds(delta.new))}</td>"
             f"<td>{_esc(f'{delta.change:+.1%}')}</td>"
-            f"<td>±{_esc(f'{effective:.1%}')}{_esc(source)}</td>"
+            f"<td>±{_esc(f'{threshold:.1%}')}</td>"
             f"<td>{verdict}</td>"
             "</tr>"
         )
@@ -780,145 +641,6 @@ def _selftime_section(trace: "Mapping[str, Any] | None") -> str:
     )
 
 
-def _rate(
-    samples: Mapping[str, float], hits_key: str, misses_key: str
-) -> "tuple[float, float, float] | None":
-    hits = samples.get(hits_key)
-    misses = samples.get(misses_key)
-    if hits is None and misses is None:
-        return None
-    hits = hits or 0.0
-    misses = misses or 0.0
-    total = hits + misses
-    return (hits / total if total else 0.0, hits, total)
-
-
-def _metrics_panels(runs: Sequence[RunData]) -> str:
-    blocks = []
-    for run in runs:
-        for entry_name, samples in run.metrics_snapshots():
-            meters = []
-            cache = _rate(samples, "repro_cache_hits", "repro_cache_misses")
-            if cache:
-                rate, hits, total = cache
-                meters.append(_meter(
-                    "result cache", rate,
-                    f"{_fmt_pct(rate)} · {_fmt_count(hits)} of "
-                    f"{_fmt_count(total)} lookups",
-                ))
-            snapshot = _rate(
-                samples, "repro_snapshot_hits", "repro_snapshot_misses"
-            )
-            if snapshot:
-                rate, hits, total = snapshot
-                meters.append(_meter(
-                    "boot snapshots", rate,
-                    f"{_fmt_pct(rate)} · {_fmt_count(hits)} of "
-                    f"{_fmt_count(total)} boots",
-                ))
-            backend_jobs = samples.get("repro_backend_jobs", 0.0)
-            if backend_jobs:
-                hits = samples.get("repro_backend_snapshot_hits", 0.0)
-                meters.append(_meter(
-                    "backend snapshot absorption",
-                    hits / backend_jobs if backend_jobs else 0.0,
-                    f"{_fmt_count(hits)} hits over "
-                    f"{_fmt_count(backend_jobs)} backend jobs",
-                ))
-            executor_jobs = samples.get("repro_executor_jobs", 0.0)
-            if executor_jobs:
-                hits = samples.get("repro_executor_cache_hits", 0.0)
-                meters.append(_meter(
-                    "executor cache absorption",
-                    hits / executor_jobs if executor_jobs else 0.0,
-                    f"{_fmt_count(hits)} of {_fmt_count(executor_jobs)} "
-                    "jobs answered from cache",
-                ))
-            if not meters:
-                continue
-            label = f"run {run.label} · {entry_name}" if len(
-                runs
-            ) > 1 else entry_name
-            blocks.append(
-                f'<div class="panel"><h3>{_esc(label)}</h3>'
-                + "".join(meters) + "</div>"
-            )
-    if not blocks:
-        return ""
-    return (
-        "<section><h2>Cache, snapshot and backend hit rates</h2>"
-        + "".join(blocks) + "</section>"
-    )
-
-
-def shard_breakdown(
-    samples: Mapping[str, float],
-) -> "dict[str, dict[str, float]]":
-    """shard id -> base metric -> value, from labelled samples."""
-    out: "dict[str, dict[str, float]]" = {}
-    for key, value in samples.items():
-        match = _METRIC_SAMPLE.match(key)
-        if not match:
-            continue
-        name = match.group("name")
-        if name.endswith("_bucket"):
-            continue
-        shard = _SHARD_LABEL.search(match.group("labels"))
-        if not shard:
-            continue
-        out.setdefault(shard.group(1), {})[name] = value
-    return out
-
-
-_SHARD_COLUMNS = (
-    ("repro_requests_total", "requests"),
-    ("repro_jobs_submitted_total", "submitted"),
-    ("repro_jobs_completed_total", "completed"),
-    ("repro_jobs_failed_total", "failed"),
-    ("repro_queue_rejected_total", "rejected"),
-    ("repro_fleet_reroutes_total", "reroutes"),
-)
-
-
-def _shard_section(runs: Sequence[RunData]) -> str:
-    tables = []
-    for run in runs:
-        for entry_name, samples in run.metrics_snapshots():
-            shards = shard_breakdown(samples)
-            if not shards:
-                continue
-            head = "<tr><th>shard</th>" + "".join(
-                f"<th>{_esc(label)}</th>" for _, label in _SHARD_COLUMNS
-            ) + "</tr>"
-            rows = []
-            for shard in sorted(shards):
-                values = shards[shard]
-                cells = "".join(
-                    f"<td>{_esc(_fmt_count(values[key]))}</td>"
-                    if key in values else "<td>—</td>"
-                    for key, _ in _SHARD_COLUMNS
-                )
-                rows.append(
-                    f"<tr><td><code>shard={_esc(shard)}</code></td>"
-                    f"{cells}</tr>"
-                )
-            label = (
-                f"run {run.label} · {entry_name}"
-                if len(runs) > 1 else entry_name
-            )
-            tables.append(
-                f"<h3>{_esc(label)}</h3>"
-                '<table class="data"><thead>' + head + "</thead><tbody>"
-                + "".join(rows) + "</tbody></table>"
-            )
-    if not tables:
-        return ""
-    return (
-        "<section><h2>Fleet shard breakdown</h2>"
-        + "".join(tables) + "</section>"
-    )
-
-
 # -- document --------------------------------------------------------------
 
 _CSS = """
@@ -960,17 +682,6 @@ svg.chart {
   background: var(--surface); border: 1px solid var(--border);
   border-radius: 6px;
 }
-svg.spark {
-  display: block; width: 260px; height: 44px; margin-top: 4px;
-  background: var(--surface); border: 1px solid var(--border);
-  border-radius: 6px;
-}
-svg .trend { fill: none; stroke-width: 1.5; }
-svg .trend.s1 { stroke: var(--s1); }
-svg .trend.s2 { stroke: var(--s2); }
-.trend-grid { display: flex; gap: 16px; flex-wrap: wrap; }
-.trend-cell h3 { margin: 8px 0 2px; }
-.trend-meta { color: var(--muted); font-size: 12px; margin: 2px 0 0; }
 svg .grid { stroke: var(--grid); stroke-width: 1; }
 svg .axis { stroke: var(--axis); stroke-width: 1; }
 svg .tick, svg .xlabel, svg .ylabel {
@@ -1048,8 +759,6 @@ def render_report(
     title: "str | None" = None,
     metric: str = DEFAULT_METRIC,
     threshold: float = DEFAULT_THRESHOLD,
-    thresholds: "Mapping[str, Any] | None" = None,
-    history: Any = None,
 ) -> str:
     """The complete self-contained HTML document for 1 or 2 runs."""
     if not 1 <= len(runs) <= 2:
@@ -1064,13 +773,10 @@ def render_report(
     body = [
         _header_section(runs, title),
         _tiles_section(runs, families),
-        _delta_section(runs, metric, threshold, thresholds),
+        _delta_section(runs, metric, threshold),
         _plots_section(runs, families),
-        _trend_section(families, history, metric),
         _summary_section(runs),
         _selftime_section(trace),
-        _metrics_panels(runs),
-        _shard_section(runs),
         "<footer>generated by <code>repro report</code> · "
         "self-contained: inline CSS and SVG, no scripts, no external "
         "references · see docs/reports.md</footer>",
@@ -1095,14 +801,11 @@ def write_report(
     title: "str | None" = None,
     metric: str = DEFAULT_METRIC,
     threshold: float = DEFAULT_THRESHOLD,
-    thresholds: "Mapping[str, Any] | None" = None,
-    history: Any = None,
 ) -> "tuple[Path, int]":
     """Load, render and write; returns (path, svg count).
 
-    The count covers one family plot per benchmark family plus, when a
-    history is given, one trend sparkline per family with at least two
-    recorded values — feed it to :func:`validate_report_text`.
+    The count is one family plot per benchmark family — feed it to
+    :func:`validate_report_text`.
     """
     runs = [
         load_run(path, label=RUN_LABELS[i])
@@ -1111,15 +814,11 @@ def write_report(
     trace = load_trace(trace_path) if trace_path is not None else None
     text = render_report(
         runs, trace=trace, title=title, metric=metric,
-        threshold=threshold, thresholds=thresholds, history=history,
+        threshold=threshold,
     )
     out_path = Path(out_path)
     out_path.write_text(text)
-    families = report_families(runs)
-    svgs = len(families)
-    if history is not None:
-        svgs += len(trend_series(families, history, metric))
-    return out_path, svgs
+    return out_path, len(report_families(runs))
 
 
 # -- validation ------------------------------------------------------------

@@ -306,10 +306,9 @@ def parse_prometheus_text(text: str) -> dict[str, float]:
     The inverse of :meth:`MetricsRegistry.render` (and of what a
     service's ``metrics`` request returns): comment/``# TYPE`` lines
     are skipped and each remaining line becomes one
-    ``name{labels} -> value`` entry — label text (including
-    ``shard="s0"`` from fleet aggregation) stays inside the key, which
-    is how the HTML report finds per-shard breakdowns.  Unparseable
-    lines are ignored: this feeds dashboards, not a validator.
+    ``name{labels} -> value`` entry, with any label text kept inside
+    the key.  Unparseable lines are ignored: this feeds dashboards,
+    not a validator.
     """
     out: dict[str, float] = {}
     for line in text.splitlines():
@@ -330,9 +329,9 @@ def parse_prometheus_text(text: str) -> dict[str, float]:
 def registry_snapshot(registry: "MetricsRegistry") -> dict[str, float]:
     """Every sample of every instrument, as a plain JSON-safe dict.
 
-    The snapshot the loadtest harness embeds into benchmark result
-    files (and the HTML report renders as hit-rate panels) — fn-gauges
-    are evaluated at snapshot time, exactly as ``render`` would.
+    Fn-gauges are evaluated at snapshot time, exactly as ``render``
+    would.  The e2ebench layer tracer diffs two of these around a
+    workload to read its per-layer counts.
     """
     return parse_prometheus_text(registry.render())
 
@@ -438,28 +437,6 @@ def build_unified_registry(
     registry.counter(
         "repro_client_retries_total",
         "Service-client calls retried after a retryable failure.",
-    )
-    registry.counter(
-        "repro_fleet_reroutes_total",
-        "In-flight submissions resubmitted to another shard after their "
-        "owning shard died.",
-    )
-    registry.counter(
-        "repro_fleet_drains_total",
-        "Shard drain cycles completed (stop routing, finish queued "
-        "jobs, restart).",
-    )
-    registry.counter(
-        "repro_fleet_shard_restarts_total",
-        "Shard processes respawned after a crash or drain.",
-    )
-    registry.counter(
-        "repro_router_proxy_errors_total",
-        "Router-to-shard proxy calls that failed after link retries.",
-    )
-    registry.histogram(
-        "repro_router_proxy_seconds",
-        "Router-to-shard proxy round-trip latency.",
     )
     registry.gauge(
         "repro_queue_depth", "Jobs currently waiting in the queue.",

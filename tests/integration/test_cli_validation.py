@@ -181,22 +181,6 @@ class TestChaosValidation:
         )
 
 
-class TestBenchGateValidation:
-    def test_garbage_gate_env_exit_2(self, capsys, monkeypatch, tmp_path):
-        import json
-
-        monkeypatch.setenv("REPRO_BENCH_GATE", "squishy")
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps({"benchmarks": [
-            {"name": "b", "stats": {"mean": 1.0}},
-        ]}))
-        expect_error(
-            capsys, ["bench", "diff", str(path), str(path)],
-            "error: REPRO_BENCH_GATE must be advisory or hard, "
-            "got 'squishy'",
-        )
-
-
 class TestDeadlineValidation:
     @pytest.mark.parametrize("bad", ["0", "-1.5"])
     def test_non_positive_deadline_exit_2(self, capsys, bad):
@@ -241,51 +225,45 @@ class TestServeValidation:
         )
 
 
-class TestFleetValidation:
-    def test_non_positive_shards_exit_2(self, capsys):
+class TestRemovedCommands:
+    """The sharded fleet, the loadtest and the perf-history store are
+    gone; invoking them must fail loudly, not half-work."""
+
+    @pytest.mark.parametrize("argv, choice", [
+        (["fleet", "serve"], "'fleet'"),
+        (["fleet", "status"], "'fleet'"),
+        (["loadtest"], "'loadtest'"),
+        (["bench", "record", "r.json"], "'record'"),
+    ])
+    def test_removed_subcommand_is_an_invalid_choice(
+        self, capsys, argv, choice
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: {choice}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "diff", "a.json", "b.json", "--history", "h"],
+        ["report", "a.json", "--history", "h"],
+    ])
+    def test_history_flag_is_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --history" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["shard-kill", "router-conn-drop"])
+    def test_fleet_chaos_points_are_unknown(self, capsys, point):
         expect_error(
-            capsys, ["fleet", "serve", "--shards", "0"],
-            "error: shards must be >= 1, got 0",
+            capsys, ["serve", "--chaos", f"{point}:p=1"],
+            f"error: unknown chaos fault point {point!r}",
         )
 
-    def test_non_positive_workers_exit_2(self, capsys):
-        expect_error(
-            capsys, ["fleet", "serve", "--workers", "-1"],
-            "error: workers must be >= 1, got -1",
-        )
+    @pytest.mark.parametrize("module", ["repro.fleet", "repro.perfdb"])
+    def test_modules_are_gone(self, module):
+        import importlib
 
-    def test_non_positive_queue_depth_exit_2(self, capsys):
-        expect_error(
-            capsys, ["fleet", "serve", "--queue-depth", "0"],
-            "error: queue-depth must be >= 1, got 0",
-        )
-
-    def test_non_positive_request_timeout_exit_2(self, capsys):
-        expect_error(
-            capsys, ["fleet", "serve", "--request-timeout", "0"],
-            "error: request-timeout must be > 0, got 0.0",
-        )
-
-    def test_bad_chaos_spec_exit_2(self, capsys):
-        expect_error(
-            capsys, ["fleet", "serve", "--chaos", "warp-core:p=1"],
-            "error: unknown chaos fault point 'warp-core'",
-        )
-
-
-class TestLoadtestValidation:
-    @pytest.mark.parametrize(
-        "flag", ["--shards", "--workers", "--clients", "--requests",
-                 "--distinct", "--loop-iters"],
-    )
-    def test_non_positive_knobs_exit_2(self, capsys, flag):
-        expect_error(
-            capsys, ["loadtest", flag, "0"],
-            f"error: {flag.lstrip('-')} must be >= 1, got 0",
-        )
-
-    def test_host_without_port_exit_2(self, capsys):
-        expect_error(
-            capsys, ["loadtest", "--host", "127.0.0.1"],
-            "error: --host requires --port",
-        )
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)

@@ -15,8 +15,6 @@ from repro.obs.htmlreport import (
     load_trace,
     render_report,
     report_families,
-    shard_breakdown,
-    trend_series,
     validate_report_text,
     main as validator_main,
 )
@@ -28,7 +26,7 @@ def bench_file(tmp_path, name, benchmarks, **payload_extra):
     return path
 
 
-def entry(name, mean, group=None, data=None, observability=None, **extra):
+def entry(name, mean, group=None, data=None, **extra):
     stats = {
         "mean": mean, "stddev": mean * 0.1, "min": mean * 0.8,
         "max": mean * 1.2, "median": mean, "q1": mean * 0.9,
@@ -36,17 +34,14 @@ def entry(name, mean, group=None, data=None, observability=None, **extra):
     }
     if data is not None:
         stats["data"] = data
-    out = {
+    return {
         "name": name, "group": group, "stats": stats, "extra_info": extra,
     }
-    if observability is not None:
-        out["observability"] = observability
-    return out
 
 
 class TestFamilies:
     def test_group_wins_over_name(self):
-        assert family_of({"name": "b1", "group": "loadtest"}) == "loadtest"
+        assert family_of({"name": "b1", "group": "executor"}) == "executor"
         assert family_of({"name": "b1", "group": None}) == "b1"
 
     def test_union_across_runs_ordered_by_first_appearance(self, tmp_path):
@@ -112,6 +107,19 @@ class TestRender:
         assert "cafe1234beef"[:12] in text
         assert "box-9" in text
 
+    def test_header_falls_back_to_pytest_benchmark_info(self, tmp_path):
+        # pytest-benchmark writes commit_info and machine_info itself;
+        # a file with no extra_info labels still names its commit/host.
+        run = load_run(bench_file(
+            tmp_path, "a.json", [entry("x", 1.0)],
+            commit_info={"id": "0123456789abcdef0123", "dirty": False},
+            machine_info={"node": "bench-host-3"},
+        ))
+        text = render_report([run])
+        assert "<code>0123456789ab</code>" in text
+        assert "0123456789abc" not in text
+        assert "bench-host-3" in text
+
     def test_content_is_escaped(self, tmp_path):
         run = load_run(bench_file(
             tmp_path, "a.json", [entry("<script>x</script>", 1.0)]
@@ -136,114 +144,6 @@ class TestRender:
         assert "Per-layer self time" in text
         assert "measurement" in text
         assert "1,234" in text
-
-    def test_hit_rate_panel_from_metrics_snapshot(self, tmp_path):
-        run = load_run(bench_file(tmp_path, "a.json", [entry(
-            "x", 1.0,
-            observability={"metrics": {
-                "repro_cache_hits": 30.0, "repro_cache_misses": 10.0,
-            }},
-        )]))
-        text = render_report([run])
-        assert "hit rates" in text
-        assert "75.0%" in text
-
-    def test_shard_panel_from_labelled_samples(self, tmp_path):
-        run = load_run(bench_file(tmp_path, "a.json", [entry(
-            "x", 1.0,
-            observability={"metrics": {
-                'repro_requests_total{shard="s0"}': 12.0,
-                'repro_requests_total{shard="s1"}': 8.0,
-                "repro_cache_hits": 1.0,
-            }},
-        )]))
-        text = render_report([run])
-        assert "Fleet shard breakdown" in text
-        assert "shard=s0" in text and "shard=s1" in text
-
-
-class TestShardBreakdown:
-    def test_groups_by_shard_label(self):
-        shards = shard_breakdown({
-            'repro_requests_total{shard="s0"}': 5.0,
-            'repro_jobs_completed_total{shard="s0"}': 4.0,
-            'repro_requests_total{shard="router"}': 9.0,
-        })
-        assert shards["s0"]["repro_requests_total"] == 5.0
-        assert shards["s0"]["repro_jobs_completed_total"] == 4.0
-        assert "router" in shards
-
-    def test_ignores_unlabelled_and_bucket_samples(self):
-        shards = shard_breakdown({
-            "repro_requests_total": 5.0,
-            'repro_latency_bucket{shard="s0",le="1"}': 2.0,
-        })
-        assert shards == {}
-
-
-class FakeHistory:
-    """Duck-typed stand-in for perfdb History: name -> metric values."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def values(self, name, metric):
-        return self.table.get(name, {}).get(metric, [])
-
-
-class TestTrends:
-    def test_single_point_has_no_trend(self):
-        history = FakeHistory({"x": {"mean": [1.0]}})
-        assert trend_series({"x": ["x"]}, history, "mean") == {}
-
-    def test_two_points_make_a_family_sparkline(self):
-        history = FakeHistory({
-            "x": {"mean": [1.0, 1.1]},
-            "y": {"mean": [2.0]},  # too short: dropped from the family
-        })
-        series = trend_series({"g": ["x", "y"]}, history, "mean")
-        assert series == {"g": [("x", [1.0, 1.1])]}
-
-    def test_rendered_trends_stay_self_contained(self, tmp_path):
-        run = load_run(bench_file(tmp_path, "a.json", [
-            entry("x", 1.0, group="g"), entry("z", 1.0),
-        ]))
-        history = FakeHistory({
-            "x": {"mean": [1.0, 1.2, 1.1]},
-            "z": {"mean": [0.5, 0.6]},
-        })
-        text = render_report([run], history=history)
-        assert "Cross-run trends" in text
-        # 2 family plots + 2 sparklines, still validator-clean.
-        assert validate_report_text(text, expect_svgs=4) == []
-        assert text.count('class="spark"') == 2
-
-    def test_no_history_means_no_trend_section(self, tmp_path):
-        run = load_run(bench_file(tmp_path, "a.json", [entry("x", 1.0)]))
-        assert "Cross-run trends" not in render_report([run])
-
-    def test_flat_series_does_not_divide_by_zero(self, tmp_path):
-        run = load_run(bench_file(tmp_path, "a.json", [entry("x", 1.0)]))
-        history = FakeHistory({"x": {"mean": [1.0, 1.0, 1.0]}})
-        text = render_report([run], history=history)
-        assert validate_report_text(text, expect_svgs=2) == []
-
-    def test_cli_report_with_recorded_history(self, tmp_path, capsys):
-        hist = tmp_path / "hist"
-        for i, mean in enumerate([1.0, 1.05]):
-            path = bench_file(tmp_path, f"run{i}.json", [entry("x", mean)])
-            assert main(
-                ["bench", "record", str(path), "--history", str(hist)]
-            ) == 0
-        bench = bench_file(tmp_path, "a.json", [entry("x", 1.0)])
-        out = tmp_path / "r.html"
-        assert main([
-            "report", str(bench), "-o", str(out), "--history", str(hist),
-        ]) == 0
-        text = out.read_text()
-        assert "Cross-run trends" in text
-        assert validate_report_text(text, expect_svgs=2) == []
-        capsys.readouterr()
 
 
 class TestValidator:

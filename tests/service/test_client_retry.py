@@ -182,3 +182,5 @@ class TestChaosEndToEnd:
             ) as client:
                 with pytest.raises(ServiceConnectionError):
                     client.health()
+                # The budget is spent; the next call goes through.
+                assert client.health()["status"] == "ok"

@@ -85,6 +85,12 @@ class TestBasics:
             client.status("job-0-missing")
         assert err.value.code == "unknown-job"
 
+    @pytest.mark.parametrize("op", ["fleet-status", "fleet-drain"])
+    def test_fleet_ops_are_unknown(self, client, op):
+        with pytest.raises(ServiceError) as err:
+            client.call(op)
+        assert err.value.code == "unknown-op"
+
     def test_newer_protocol_version_rejected(self, service):
         with socket.create_connection(
             (service.host, service.port), timeout=10
